@@ -76,6 +76,7 @@ pub mod aggregation;
 pub mod config;
 pub mod engine;
 pub mod fanout;
+mod inthash;
 pub mod message;
 pub mod node;
 pub mod retransmit;

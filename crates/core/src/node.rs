@@ -17,6 +17,7 @@ use crate::aggregation::CapabilityAggregator;
 use crate::config::{GossipConfig, PartialMembershipConfig};
 use crate::engine::DisseminationEngine;
 use crate::fanout::FanoutPolicy;
+use crate::inthash::IntSet;
 use crate::message::GossipMessage;
 use crate::retransmit::RetransmitTracker;
 use heap_membership::partial::PartialView;
@@ -255,8 +256,8 @@ impl GossipNodeBuilder {
             adaptation_requests_seen: 0,
             join_at: self.join_at,
             joined: self.join_at.is_none(),
-            served_recent: std::collections::HashSet::new(),
-            served_prev: std::collections::HashSet::new(),
+            served_recent: IntSet::default(),
+            served_prev: IntSet::default(),
             served_generation_start: SimTime::ZERO,
         }
     }
@@ -303,8 +304,8 @@ pub struct GossipNode {
     /// during the current and the previous dedup generation (rotated every
     /// `serve_dedup_window`), so a retransmitted request does not duplicate
     /// payload that is merely queued.
-    served_recent: std::collections::HashSet<(u32, u64)>,
-    served_prev: std::collections::HashSet<(u32, u64)>,
+    served_recent: IntSet<(u32, u64)>,
+    served_prev: IntSet<(u32, u64)>,
     served_generation_start: SimTime,
 }
 
@@ -457,7 +458,7 @@ impl GossipNode {
     fn select_targets(&self, fanout: usize, rng: &mut rand::rngs::SmallRng) -> Vec<NodeId> {
         match &self.partial {
             Some(partial) => {
-                UniformSampler::select_from(&partial.view.peers(), self.id, fanout, rng)
+                UniformSampler::select_from(partial.view.peers(), self.id, fanout, rng)
             }
             None => UniformSampler::select(&self.view, fanout, rng),
         }
@@ -481,10 +482,10 @@ impl GossipNode {
             return;
         }
         let targets = self.select_targets(fanout, ctx.rng());
-        for target in targets {
-            ctx.send(target, GossipMessage::propose(ids.clone(), &self.config));
-            self.stats.proposals_sent += 1;
-        }
+        send_each(ctx, &targets, ids, |ids| {
+            GossipMessage::propose(ids, &self.config)
+        });
+        self.stats.proposals_sent += targets.len() as u64;
     }
 
     fn arm_gossip_timer(&self, ctx: &mut Context<'_, GossipMessage>, delay: SimDuration) {
@@ -512,13 +513,10 @@ impl GossipNode {
                 .aggregator
                 .freshest_samples(self.config.aggregation_freshest, ctx.now());
             let targets = self.select_targets(self.config.aggregation_fanout, ctx.rng());
-            for target in targets {
-                ctx.send(
-                    target,
-                    GossipMessage::aggregation(samples.clone(), &self.config),
-                );
-                self.stats.aggregation_sent += 1;
-            }
+            send_each(ctx, &targets, samples, |samples| {
+                GossipMessage::aggregation(samples, &self.config)
+            });
+            self.stats.aggregation_sent += targets.len() as u64;
         }
         self.arm_aggregation_timer(ctx, self.config.aggregation_period);
     }
@@ -567,13 +565,10 @@ impl GossipNode {
                 if pressure >= adaptation.request_threshold {
                     self.stats.adaptation_boosts += 1;
                     let targets = self.select_targets(adaptation.fanout_boost, ctx.rng());
-                    for target in targets {
-                        ctx.send(
-                            target,
-                            GossipMessage::propose(vec![published], &self.config),
-                        );
-                        self.stats.proposals_sent += 1;
-                    }
+                    send_each(ctx, &targets, vec![published], |ids| {
+                        GossipMessage::propose(ids, &self.config)
+                    });
+                    self.stats.proposals_sent += targets.len() as u64;
                 }
             }
             self.next_source_seq += 1;
@@ -609,6 +604,22 @@ impl GossipNode {
             .retransmit
             .register(pending.proposer, missing, pending.retries_left - 1);
         ctx.set_timer(self.config.retransmit_period, new_tag);
+    }
+}
+
+/// Sends one message built from `payload` to each target, in order. Every
+/// target but the last gets a clone; the last takes `payload` itself.
+fn send_each<T: Clone>(
+    ctx: &mut Context<'_, GossipMessage>,
+    targets: &[NodeId],
+    payload: Vec<T>,
+    message: impl Fn(Vec<T>) -> GossipMessage,
+) {
+    if let Some((&last, rest)) = targets.split_last() {
+        for &target in rest {
+            ctx.send(target, message(payload.clone()));
+        }
+        ctx.send(last, message(payload));
     }
 }
 

@@ -9,9 +9,9 @@
 //! [Request]: crate::message::GossipMessage::Request
 //! [Serve]: crate::message::GossipMessage::Serve
 
+use crate::inthash::IntMap;
 use heap_simnet::node::NodeId;
 use heap_streaming::packet::PacketId;
-use std::collections::HashMap;
 
 /// A pending request whose answer has not been fully received yet.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,7 +42,7 @@ pub struct PendingRequest {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct RetransmitTracker {
-    pending: HashMap<u64, PendingRequest>,
+    pending: IntMap<u64, PendingRequest>,
     next_tag: u64,
 }
 
@@ -54,7 +54,7 @@ impl RetransmitTracker {
     /// Creates an empty tracker.
     pub fn new() -> Self {
         RetransmitTracker {
-            pending: HashMap::new(),
+            pending: IntMap::default(),
             next_tag: RETRANSMIT_TAG_BASE,
         }
     }

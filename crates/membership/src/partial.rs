@@ -32,7 +32,7 @@ pub struct ViewEntry {
 /// let mut rng = rand::rngs::SmallRng::seed_from_u64(3);
 /// let mut view = PartialView::new(NodeId::new(0), 8);
 /// view.seed(&[NodeId::new(1), NodeId::new(2), NodeId::new(3)]);
-/// assert_eq!(view.peers().len(), 3);
+/// assert_eq!(view.peers().count(), 3);
 /// let exchange = view.start_shuffle(4, &mut rng);
 /// assert!(!exchange.is_empty());
 /// ```
@@ -83,9 +83,9 @@ impl PartialView {
         self.entries.iter().any(|e| e.peer == peer)
     }
 
-    /// The peers currently in the view.
-    pub fn peers(&self) -> Vec<NodeId> {
-        self.entries.iter().map(|e| e.peer).collect()
+    /// The peers currently in the view, in entry order.
+    pub fn peers(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.entries.iter().map(|e| e.peer)
     }
 
     /// Number of entries currently held.

@@ -76,16 +76,12 @@ impl UniformSampler {
     /// excluding `exclude`. Used when the candidate set is not a full view
     /// (e.g. partial views).
     pub fn select_from<R: Rng + ?Sized>(
-        candidates: &[NodeId],
+        candidates: impl IntoIterator<Item = NodeId>,
         exclude: NodeId,
         fanout: usize,
         rng: &mut R,
     ) -> Vec<NodeId> {
-        let mut peers: Vec<NodeId> = candidates
-            .iter()
-            .copied()
-            .filter(|&p| p != exclude)
-            .collect();
+        let mut peers: Vec<NodeId> = candidates.into_iter().filter(|&p| p != exclude).collect();
         peers.dedup();
         if fanout >= peers.len() {
             peers.shuffle(rng);
@@ -218,10 +214,11 @@ mod tests {
             NodeId::new(2),
             NodeId::new(3),
         ];
-        let sel = UniformSampler::select_from(&candidates, NodeId::new(2), 10, &mut rng());
+        let sel =
+            UniformSampler::select_from(candidates.iter().copied(), NodeId::new(2), 10, &mut rng());
         assert!(!sel.contains(&NodeId::new(2)));
         assert!(sel.len() <= 3);
-        let sel2 = UniformSampler::select_from(&candidates, NodeId::new(9), 2, &mut rng());
+        let sel2 = UniformSampler::select_from(candidates, NodeId::new(9), 2, &mut rng());
         assert_eq!(sel2.len(), 2);
     }
 }
