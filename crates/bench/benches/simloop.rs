@@ -1,14 +1,14 @@
 //! Simulator-loop benchmark: raw scheduling-core throughput (events/s) at
-//! 100 / 271 / 1000 / 5000 nodes, for all three scheduling-core generations
-//! (PR 4 flat, PR 3 calendar, pre-PR-3 `BinaryHeap`) — the Criterion-tracked
-//! companion of the `bench-json` numbers in `BENCH_4.json`.
+//! 100 / 271 / 1000 / 5000 nodes, for the flat core in both dispatch modes
+//! (batched bucket drain and single pop) and the sharded core — the
+//! Criterion-tracked companion of the `bench-json` simulator-loop numbers.
 //!
 //! The workload ([`heap_bench::simloop`]) mirrors a congested dissemination
 //! run: ~64 in-flight messages per node walking the network plus a standing
 //! population of far-horizon timers per node.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use heap_bench::simloop::{self, Core};
+use heap_bench::simloop;
 
 /// Events per measured iteration (the workload TTL is derived from it).
 const TARGET_EVENTS: u64 = 300_000;
@@ -18,12 +18,12 @@ fn bench_simloop(c: &mut Criterion) {
     group.sample_size(10);
     for &n in &[100usize, 271, 1000, 5000] {
         let ttl = simloop::ttl_for(n, TARGET_EVENTS);
-        // The event count is identical across cores (asserted in the lib
-        // tests); measure it once for the throughput denominator — and pin
-        // the PR 8 batched bucket-drain dispatch against single-pop dispatch
-        // on the full run, so a batch-path divergence fails the smoke run
-        // itself on fingerprint mismatch.
-        let batched = simloop::fingerprint(&mut simloop::build_sim(n, 7, ttl, Core::Flat));
+        // The event count is identical across dispatch modes; measure it
+        // once for the throughput denominator — and pin the PR 8 batched
+        // bucket-drain dispatch against single-pop dispatch on the full
+        // run, so a batch-path divergence fails the smoke run itself on
+        // fingerprint mismatch.
+        let batched = simloop::fingerprint(&mut simloop::build_sim(n, 7, ttl));
         let single = simloop::fingerprint(&mut simloop::build_sim_single_pop(n, 7, ttl));
         assert_eq!(
             batched, single,
@@ -33,15 +33,13 @@ fn bench_simloop(c: &mut Criterion) {
         group.throughput(Throughput::Elements(events));
         // Construction is untimed (batched setup), matching bench-json's
         // `simloop::measure`, so both report the same events/s quantity.
-        for core in [Core::Flat, Core::Pr3, Core::Seed] {
-            group.bench_function(&format!("{}_{n}_nodes", core.label()), |b| {
-                b.iter_batched_ref(
-                    || simloop::build_sim(n, 7, ttl, core),
-                    |sim| sim.run_to_completion().expect("contract holds"),
-                    BatchSize::LargeInput,
-                );
-            });
-        }
+        group.bench_function(&format!("pr4_flat_{n}_nodes"), |b| {
+            b.iter_batched_ref(
+                || simloop::build_sim(n, 7, ttl),
+                |sim| sim.run_to_completion().expect("contract holds"),
+                BatchSize::LargeInput,
+            );
+        });
         // The flat core with batching off: the PR 8 measurement baseline.
         group.bench_function(&format!("pr4_flat_single_pop_{n}_nodes"), |b| {
             b.iter_batched_ref(
@@ -79,7 +77,7 @@ fn bench_simloop_sharded(c: &mut Criterion) {
     group.sample_size(10);
     for &n in &[1000usize, 5000] {
         let ttl = simloop::ttl_for(n, TARGET_EVENTS);
-        let mut probe = simloop::build_sim(n, 7, ttl, Core::Flat);
+        let mut probe = simloop::build_sim(n, 7, ttl);
         let events = probe.run_to_completion().expect("contract holds");
         group.throughput(Throughput::Elements(events));
         for &shards in &shard_counts() {

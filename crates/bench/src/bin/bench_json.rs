@@ -7,34 +7,35 @@
 //! Usage: bench-json [--scale test|default|paper] [--out PATH]
 //! ```
 //!
-//! The emitted file (default `BENCH_7.json`, checked in at the repo root) is
-//! the benchmark trajectory of the scale-campaign PR: simulator events/s
-//! at 100 / 271 / 1000 / 5000 nodes for the PR 4 flat core (now stepping
-//! whole calendar buckets at a time), the PR 3 calendar core and the
-//! pre-PR-3 `BinaryHeap` seed core (same binary, interleaved repetitions,
-//! identical event streams — asserted); a batch-dispatch section comparing
-//! batched against single-pop dispatch at 1000 / 10000 nodes with a
-//! queue-share ablation; a shard-count sweep (1 / 2 / 4 shards, sequential
-//! and scoped-thread stepping) against the flat core at 1000 / 5000 / 10000
-//! nodes; a scale campaign sweeping the light flood workload across
-//! 10³–10⁶ nodes and recording events/s plus peak bytes/node (both the
-//! capacity-based [`heap_simnet::MemoryFootprint`] estimate and the
-//! counting-allocator ground truth); host metadata (core count, GF(256)
-//! kernel, CPU model) so cross-PR numbers carry the noisy-host caveat; a
-//! sharded-scenario fingerprint check; the parallel vs sequential
-//! figure-regeneration wall-clock; and a bit-identity check of the parallel
-//! per-figure sweeps (threaded and work-stealing paths).
+//! The emitted file (default `BENCH_7.json`, checked in at the repo root)
+//! records simulator events/s at 100 / 271 / 1000 / 5000 nodes for the flat
+//! core with batched bucket-drain dispatch and with single-pop dispatch
+//! (same binary, interleaved repetitions, identical event streams —
+//! asserted); a batch-dispatch section comparing the two at 1000 / 10000
+//! nodes against the BENCH_5 flat core; a shard-count sweep (1 / 2 / 4
+//! shards, sequential and scoped-thread stepping) against the flat core at
+//! 1000 / 5000 / 10000 nodes; a scale campaign sweeping the light flood
+//! workload across 10³–10⁶ nodes and recording events/s plus peak
+//! bytes/node (both the capacity-based [`heap_simnet::MemoryFootprint`]
+//! estimate and the counting-allocator ground truth); host metadata (core
+//! count, GF(256) kernel, CPU model) so cross-PR numbers carry the
+//! noisy-host caveat; a sharded-scenario fingerprint check; the parallel vs
+//! sequential figure-regeneration wall-clock; and a bit-identity check of
+//! the parallel per-figure sweeps on the work-stealing runner.
+//!
+//! The predecessor scheduling cores and the queue-substitution ablations
+//! are gone from the binary; their last measurements stay in
+//! `BENCH_3.json`–`BENCH_7.json`.
 //!
 //! Every section carries a computed `analysis` field: the prose is derived
 //! from the numbers of the run that produced the file, so regenerating the
 //! file can never leave a stale hand-written claim behind.
 
-use heap_bench::simloop::Core;
 use heap_bench::{parse_scale, simloop};
 use heap_workloads::experiments::StandardRuns;
 use heap_workloads::{
-    run_scenario, run_scenarios_stealing, run_scenarios_threaded, BandwidthDistribution, ChurnSpec,
-    ProtocolChoice, Scale, Scenario,
+    run_scenario, run_scenarios_stealing, BandwidthDistribution, ChurnSpec, ProtocolChoice, Scale,
+    Scenario,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
@@ -81,7 +82,7 @@ unsafe impl GlobalAlloc for PeakAlloc {
 #[global_allocator]
 static COUNTER: PeakAlloc = PeakAlloc;
 
-/// Node counts the three-core simulator loop is measured at.
+/// Node counts the simulator loop is measured at.
 const SIM_SIZES: [usize; 4] = [100, 271, 1000, 5000];
 
 /// Node counts of the shard-count sweep (the ≥10⁴-node territory the
@@ -101,7 +102,8 @@ const SCALE_CAMPAIGN_REPS: usize = 2;
 /// Events per simulator-loop measurement (full-fidelity scales).
 const SIM_TARGET_EVENTS: u64 = 2_000_000;
 
-/// Interleaved repetitions per (size, core) pair; best wall-clock wins.
+/// Interleaved repetitions per (size, dispatch mode) pair; best wall-clock
+/// wins.
 const SIM_REPS: usize = 5;
 
 /// Repetitions per shard-sweep configuration; best wall-clock wins.
@@ -209,95 +211,59 @@ fn main() {
     let model = heap_bench::hostmeta::cpu_model();
     eprintln!("bench-json: {cores} cores ({model}), gf kernel {gf_kernel}, scale {scale_name}");
 
-    // --- Simulator loop: batched flat vs single-pop vs PR 3 vs seed -------
-    const CORES: [Core; 3] = [Core::Seed, Core::Pr3, Core::Flat];
+    // --- Simulator loop: batched flat vs single-pop ----------------------
     let (sim_sizes, sim_events, sim_reps) = sim_plan(&scale_name);
     let mut sim_json = String::new();
-    // (flat/pr3 speedup, batched/single-pop speedup) per size, for the
-    // computed section analysis.
-    let mut sim_ratios: Vec<(usize, f64, f64)> = Vec::new();
+    // Batched/single-pop speedup per size, for the computed section
+    // analysis.
+    let mut sim_ratios: Vec<(usize, f64)> = Vec::new();
     for (i, &n) in sim_sizes.iter().enumerate() {
-        let mut best = [f64::INFINITY; 3];
-        let mut events = [0u64; 3];
+        let mut best = f64::INFINITY;
+        let mut events = 0u64;
         let mut sp_best = f64::INFINITY;
-        // Interleave the cores so machine-load phases hit all four equally.
+        // Interleave the dispatch modes so machine-load phases hit both
+        // equally.
         for rep in 0..sim_reps {
-            for (slot, &core) in CORES.iter().enumerate() {
-                let (e, s) = simloop::measure(n, 7 + rep as u64, sim_events, core);
-                events[slot] = e;
-                best[slot] = best[slot].min(s);
-            }
+            let (e, s) = simloop::measure(n, 7 + rep as u64, sim_events);
+            events = e;
+            best = best.min(s);
             let (e_sp, s_sp) = simloop::measure_single_pop(n, 7 + rep as u64, sim_events);
-            assert_eq!(e_sp, events[2], "single-pop dispatch changed the stream");
+            assert_eq!(e_sp, events, "single-pop dispatch changed the stream");
             sp_best = sp_best.min(s_sp);
         }
-        assert!(
-            events.iter().all(|&e| e == events[0]),
-            "all cores must process the identical event stream"
-        );
-        let eps: Vec<f64> = (0..CORES.len())
-            .map(|slot| events[slot] as f64 / best[slot])
-            .collect();
-        let (seed_eps, pr3_eps, flat_eps) = (eps[0], eps[1], eps[2]);
-        let sp_eps = events[2] as f64 / sp_best;
+        let flat_eps = events as f64 / best;
+        let sp_eps = events as f64 / sp_best;
         eprintln!(
-            "bench-json: simloop n={n}: seed {:.2} M ev/s, pr3 {:.2} M ev/s, flat {:.2} M ev/s batched / {:.2} M ev/s single-pop ({:.2}x batch, {:.2}x vs pr3)",
-            seed_eps / 1e6,
-            pr3_eps / 1e6,
+            "bench-json: simloop n={n}: flat {:.2} M ev/s batched / {:.2} M ev/s single-pop ({:.2}x batch)",
             flat_eps / 1e6,
             sp_eps / 1e6,
             flat_eps / sp_eps,
-            flat_eps / pr3_eps,
         );
-        sim_ratios.push((n, flat_eps / pr3_eps, flat_eps / sp_eps));
+        sim_ratios.push((n, flat_eps / sp_eps));
         let sep = if i + 1 < sim_sizes.len() { "," } else { "" };
         writeln!(
             sim_json,
             r#"    {{
       "nodes": {n},
       "events": {events},
-      "seed_binary_heap_events_per_sec": {seed_eps:.0},
-      "pr3_calendar_events_per_sec": {pr3_eps:.0},
       "pr4_flat_single_pop_events_per_sec": {sp_eps:.0},
       "pr4_flat_events_per_sec": {flat_eps:.0},
-      "batched_vs_single_pop": {vs_sp:.2},
-      "speedup_vs_pr3": {vs_pr3:.2},
-      "speedup_vs_seed": {vs_seed:.2}
+      "batched_vs_single_pop": {vs_sp:.2}
     }}{sep}"#,
-            events = events[0],
             vs_sp = flat_eps / sp_eps,
-            vs_pr3 = flat_eps / pr3_eps,
-            vs_seed = flat_eps / seed_eps,
         )
         .expect("write to string");
     }
     let sim_analysis = {
-        let (lo_n, _, lo) =
-            sim_ratios
-                .iter()
-                .fold((0usize, 0.0f64, f64::INFINITY), |acc, &(n, _, r)| {
-                    if r < acc.2 {
-                        (n, 0.0, r)
-                    } else {
-                        acc
-                    }
-                });
-        let (hi_n, _, hi) =
-            sim_ratios
-                .iter()
-                .fold((0usize, 0.0f64, f64::NEG_INFINITY), |acc, &(n, _, r)| {
-                    if r > acc.2 {
-                        (n, 0.0, r)
-                    } else {
-                        acc
-                    }
-                });
+        let by_ratio = |a: &&(usize, f64), b: &&(usize, f64)| a.1.total_cmp(&b.1);
+        let &(lo_n, lo) = sim_ratios.iter().min_by(by_ratio).expect("sizes");
+        let &(hi_n, hi) = sim_ratios.iter().max_by(by_ratio).expect("sizes");
         format!(
             "the flat core now steps whole calendar buckets at a time (EventQueue::drain_bucket hands the run loop each bucket as one sorted slice; intruding same-region pushes are merged back by (time, seq), asserted bit-identical); against the same core with batching off the gain on this host ranges {lo:.2}x at {lo_n} nodes to {hi:.2}x at {hi_n} nodes - the batch removes the per-pop cursor walk and tail-copy but pushes (binary-search inserts into sorted buckets) still dominate queue cost, so the per-size gain tracks how many events each drained bucket yields"
         )
     };
 
-    // --- Batch dispatch: batched vs single-pop vs queue ablations --------
+    // --- Batch dispatch: batched vs single-pop against BENCH_5 -----------
     // The acceptance sizes of the batch-pipeline PR, with the checked-in
     // BENCH_5.json flat-core numbers as the cross-PR reference (generated on
     // this host class; the host note's noise caveat applies).
@@ -312,66 +278,27 @@ fn main() {
         batched_eps: f64,
         sp_eps: f64,
         vs_bench5: f64,
-        share_single: f64,
-        share_batched: f64,
     }
     let mut batch_rows: Vec<BatchRow> = Vec::new();
     for (i, &(n, bench5_eps)) in batch_sizes.iter().enumerate() {
         let mut batched_best = f64::INFINITY;
         let mut sp_best = f64::INFINITY;
-        let mut lifo_best = f64::INFINITY;
-        let mut fifo_best = f64::INFINITY;
         let mut events = 0u64;
         for rep in 0..sim_reps {
             let seed = 7 + rep as u64;
-            let (e, s) = simloop::measure(n, seed, sim_events, Core::Flat);
+            let (e, s) = simloop::measure(n, seed, sim_events);
             events = e;
             batched_best = batched_best.min(s);
             let (e_sp, s_sp) = simloop::measure_single_pop(n, seed, sim_events);
             assert_eq!(e_sp, events, "single-pop dispatch changed the stream");
             sp_best = sp_best.min(s_sp);
-            // Queue-share ablation (BENCH_4's LIFO-substitution methodology,
-            // now bracketed by a FIFO twin): the identical workload with the
-            // calendar queue swapped for an unordered O(1) container — zero
-            // ordering work. The run is not a valid simulation, but the
-            // Flood event population is order-invariant (lossless, no
-            // cancels, TTL-driven chains, count-budgeted re-arms), so the
-            // event count matches exactly (asserted) and the substituted
-            // time prices the full non-queue pipeline — dispatch, callbacks,
-            // sampling, stats — at the real event count. The LIFO stack
-            // walks each chain depth-first (protocol state artificially
-            // hot: a lower bound on non-queue cost); the FIFO deque pops in
-            // push order, which statistically tracks virtual time, so its
-            // locality matches the real run more closely.
-            let (e_lifo, s_lifo) = simloop::measure_lifo(n, seed, sim_events);
-            assert_eq!(e_lifo, events, "LIFO ablation changed the event count");
-            lifo_best = lifo_best.min(s_lifo);
-            let (e_fifo, s_fifo) = simloop::measure_fifo(n, seed, sim_events);
-            assert_eq!(e_fifo, events, "FIFO ablation changed the event count");
-            fifo_best = fifo_best.min(s_fifo);
         }
         let batched_eps = events as f64 / batched_best;
         let sp_eps = events as f64 / sp_best;
-        let lifo_eps = events as f64 / lifo_best;
-        let fifo_eps = events as f64 / fifo_best;
-        // Per-event cost split: everything the substituted run still pays vs
-        // the remainder, which is calendar ordering plus the cache traffic
-        // of the standing event population. A faster instrument yields a
-        // larger share estimate, so the headline share comes from the
-        // slower of the two (the higher measured non-queue cost): it is the
-        // conservative figure, typically the FIFO deque. Noise that pushes
-        // a share negative is clamped at zero.
-        let ablation_best = lifo_best.max(fifo_best);
-        let queue_share_batched = (1.0 - ablation_best / batched_best).max(0.0);
-        let queue_share_single = (1.0 - ablation_best / sp_best).max(0.0);
         eprintln!(
-            "bench-json: batch n={n}: batched {:.2} M ev/s, single-pop {:.2} M ev/s, lifo {:.2} M ev/s, fifo {:.2} M ev/s (queue share {:.0}% -> {:.0}%)",
+            "bench-json: batch n={n}: batched {:.2} M ev/s, single-pop {:.2} M ev/s",
             batched_eps / 1e6,
             sp_eps / 1e6,
-            lifo_eps / 1e6,
-            fifo_eps / 1e6,
-            queue_share_single * 100.0,
-            queue_share_batched * 100.0,
         );
         batch_rows.push(BatchRow {
             n,
@@ -382,8 +309,6 @@ fn main() {
             } else {
                 0.0
             },
-            share_single: queue_share_single,
-            share_batched: queue_share_batched,
         });
         let bench5_field = if bench5_eps > 0 {
             format!(
@@ -400,29 +325,21 @@ fn main() {
       "nodes": {n},
       "events": {events},{bench5_field}
       "single_pop_events_per_sec": {sp_eps:.0},
-      "batched_events_per_sec": {batched_eps:.0},
-      "lifo_queue_events_per_sec": {lifo_eps:.0},
-      "fifo_queue_events_per_sec": {fifo_eps:.0},
-      "queue_share_of_cost_single_pop": {queue_share_single:.2},
-      "queue_share_of_cost_batched": {queue_share_batched:.2}
+      "batched_events_per_sec": {batched_eps:.0}
     }}{sep}"#,
         )
         .expect("write to string");
     }
     let batch_analysis = {
-        let mut s = String::from(
-            "queue share of per-event cost, bracketed by two queue-substitution ablations on the same workload (event count asserted identical; an unordered O(1) container runs the full non-queue pipeline, so the gap to a real run is the calendar's ordering plus cache cost — the LIFO stack walks chains depth-first with artificially hot protocol state, the FIFO deque pops in push order and so matches the real run's locality; the reported share uses the slower instrument, the conservative figure): ",
-        );
+        let mut s = String::from("batched bucket-drain dispatch vs single-pop dispatch on the same workload (event count asserted identical): ");
         for (i, row) in batch_rows.iter().enumerate() {
             if i > 0 {
                 s.push_str("; ");
             }
             write!(
                 s,
-                "{} nodes: {:.0}% single-pop -> {:.0}% batched ({:.2}x dispatch speedup, {:.2} -> {:.2} M ev/s",
+                "{} nodes: {:.2}x dispatch speedup ({:.2} -> {:.2} M ev/s",
                 row.n,
-                row.share_single * 100.0,
-                row.share_batched * 100.0,
                 row.batched_eps / row.sp_eps,
                 row.sp_eps / 1e6,
                 row.batched_eps / 1e6,
@@ -453,7 +370,7 @@ fn main() {
         let mut thr_best = [f64::INFINITY; SHARD_COUNTS.len()];
         for rep in 0..shard_reps {
             let seed = 7 + rep as u64;
-            let (e, s) = simloop::measure(n, seed, shard_events, Core::Flat);
+            let (e, s) = simloop::measure(n, seed, shard_events);
             flat_events = e;
             flat_best = flat_best.min(s);
             for (slot, &shards) in SHARD_COUNTS.iter().enumerate() {
@@ -634,31 +551,25 @@ fn main() {
         "sharded scenario diverged from the single-core engine"
     );
 
-    // --- Sweep bit-identity: parallel vs sequential ------------------------
+    // --- Sweep bit-identity: work-stealing vs sequential --------------------
     eprintln!("bench-json: checking parallel sweep bit-identity...");
     let scenarios = sweep_scenarios();
-    // The always-threaded path, so the check is meaningful on 1-core hosts.
-    let parallel: Vec<u64> = run_scenarios_threaded(&scenarios)
-        .iter()
-        .map(|r| r.fingerprint())
-        .collect();
     let sequential: Vec<u64> = scenarios
         .iter()
         .map(|s| run_scenario(s).fingerprint())
         .collect();
     // The work-stealing runner (thread-per-worker deque over the scenario
-    // list), forced past one worker so real steals occur.
-    let stealing: Vec<u64> = run_scenarios_stealing(&scenarios, 3)
-        .iter()
-        .map(|r| r.fingerprint())
-        .collect();
-    let sweeps_identical = parallel == sequential && stealing == sequential;
+    // list), forced past one worker so real threads and steals occur even
+    // on 1-core hosts.
+    let sweeps_identical = [2, 3].into_iter().all(|workers| {
+        let stealing: Vec<u64> = run_scenarios_stealing(&scenarios, workers)
+            .iter()
+            .map(|r| r.fingerprint())
+            .collect();
+        stealing == sequential
+    });
     assert!(
-        parallel == sequential,
-        "parallel sweep diverged from the sequential path"
-    );
-    assert!(
-        stealing == sequential,
+        sweeps_identical,
         "work-stealing sweep diverged from the sequential path"
     );
 
@@ -695,13 +606,13 @@ fn main() {
   }},
   "simulator_loop": {{
     "workload": "stride-walk flood, {chains} in-flight msgs/node + {far} standing far timers/node, uniform 2-264 ms latency",
-    "baselines": "both predecessor cores in the same binary: pr3_calendar (calendar queue, pooled deferred command buffer, per-event dispatch) and seed_binary_heap (BinaryHeap queue, per-callback allocation, seed-shim uniform draws); pr4_flat_single_pop is the PR 8 flat core with batched bucket-drain dispatch switched off",
+    "baselines": "pr4_flat_single_pop is the flat core with batched bucket-drain dispatch switched off; the predecessor cores' numbers are recorded in BENCH_3.json-BENCH_7.json",
     "per_size": [
 {sim_json}    ],
     "analysis": "{sim_analysis}"
   }},
   "batch_dispatch": {{
-    "workload": "same stride-walk flood on the flat core: batched bucket-drain dispatch vs single-pop dispatch vs the LIFO- and FIFO-queue substitution ablations, identical event counts asserted per run",
+    "workload": "same stride-walk flood on the flat core: batched bucket-drain dispatch vs single-pop dispatch, identical event counts asserted per run",
     "per_size": [
 {batch_json}    ],
     "analysis": "{batch_analysis}"
@@ -721,7 +632,7 @@ fn main() {
   "sharded_scenarios_bit_identical": {sharded_scenarios_identical},
   "figure_regen": {{
     "scale": "{scale_name}",
-    "note": "StandardRuns::compute is adaptive: thread-per-scenario on multicore hosts, inline on single-core hosts (results bit-identical either way)",
+    "note": "StandardRuns::compute is adaptive: a work-stealing pool on multicore hosts, inline on single-core hosts (results bit-identical either way)",
     "adaptive_parallel_s": {regen_parallel:.2},
     "sequential_s": {regen_sequential:.2},
     "speedup": {regen_speedup:.2},

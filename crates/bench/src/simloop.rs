@@ -7,8 +7,8 @@
 //! instead of an RNG draw for the same reason (the network still samples a
 //! random latency per hop, which is what spreads events across the
 //! calendar). Used by the `simloop` Criterion bench and by `bench-json`
-//! (which records the events/s of every scheduling-core generation —
-//! including the PR 5 shard-count sweep — in `BENCH_5.json`).
+//! (which records the flat core's events/s in both dispatch modes and the
+//! shard-count sweep).
 
 use heap_simnet::prelude::*;
 use rand::Rng;
@@ -145,34 +145,6 @@ pub fn ttl_for(n: usize, target_events: u64) -> u32 {
     (target_events / chains.max(1)).clamp(40, 100_000) as u32
 }
 
-/// Which scheduling-core generation a measurement runs. All three produce
-/// bit-identical simulations (asserted by `heap-simnet`'s differential
-/// tests); they exist so each overhaul can be measured against its
-/// predecessors in the same binary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Core {
-    /// Pre-PR-3 core: `BinaryHeap` queue, per-callback command-buffer
-    /// allocation, seed-shim `u128` uniform reductions.
-    Seed,
-    /// PR 3 core: calendar queue, pooled deferred command buffer, per-event
-    /// dispatch.
-    Pr3,
-    /// PR 4 core (the default): eager command dispatch, batched same-tick
-    /// deliveries, SoA stats and node state, cached latency sampling.
-    Flat,
-}
-
-impl Core {
-    /// Short machine-readable label used in bench output and JSON keys.
-    pub fn label(self) -> &'static str {
-        match self {
-            Core::Seed => "seed_binary_heap",
-            Core::Pr3 => "pr3_calendar",
-            Core::Flat => "pr4_flat",
-        }
-    }
-}
-
 /// The benchmark's canonical latency model: uniform 2–264 ms — a
 /// power-of-two span (2^18 µs ≈ 262 ms) keeps the per-hop draw
 /// division-free, while the spread itself is PlanetLab-like (RTTs plus
@@ -185,8 +157,8 @@ fn bench_latency() -> LatencyModel {
 }
 
 /// One [`Flood`] protocol instance per node — the single workload definition
-/// shared by every core's builder, so the flat baselines and the sharded
-/// sweep can never drift apart.
+/// shared by every builder, so the dispatch modes and the sharded sweep can
+/// never drift apart.
 fn make_flood(n: usize, ttl: u32) -> impl FnMut(NodeId) -> Flood {
     move |id| Flood {
         n: n as u32,
@@ -201,36 +173,19 @@ fn make_flood(n: usize, ttl: u32) -> impl FnMut(NodeId) -> Flood {
 }
 
 /// Builds the benchmark simulator on the canonical uniform 2–264 ms
-/// latency model (see `bench_latency`) with lossless links
-/// (loss would truncate the chains and decouple the event count from the
-/// TTL); `core` selects the scheduling-core generation.
-pub fn build_sim(n: usize, seed: u64, ttl: u32, core: Core) -> Simulator<Flood> {
-    build_sim_with_latency(n, seed, ttl, core, bench_latency())
-}
-
-/// [`build_sim`] with an explicit latency model (ablation measurements).
-pub fn build_sim_with_latency(
-    n: usize,
-    seed: u64,
-    ttl: u32,
-    core: Core,
-    latency: LatencyModel,
-) -> Simulator<Flood> {
-    let mut builder = SimulatorBuilder::new(n, seed)
-        .latency(latency)
-        .loss(LossModel::none());
-    builder = match core {
-        Core::Seed => builder.baseline_scheduling_core(),
-        Core::Pr3 => builder.pr3_scheduling_core(),
-        Core::Flat => builder,
-    };
-    builder.build(make_flood(n, ttl))
+/// latency model (see `bench_latency`) with lossless links (loss would
+/// truncate the chains and decouple the event count from the TTL), on the
+/// default flat core with batched dispatch.
+pub fn build_sim(n: usize, seed: u64, ttl: u32) -> Simulator<Flood> {
+    SimulatorBuilder::new(n, seed)
+        .latency(bench_latency())
+        .loss(LossModel::none())
+        .build(make_flood(n, ttl))
 }
 
 /// [`build_sim`] with the PR 8 batched bucket-drain dispatch switched off:
 /// the single-pop measurement baseline for the batch-vs-single comparison in
-/// `bench-json` and the CI fingerprint smoke. Only meaningful for
-/// [`Core::Flat`] (the compat cores never batch).
+/// `bench-json` and the CI fingerprint smoke.
 pub fn build_sim_single_pop(n: usize, seed: u64, ttl: u32) -> Simulator<Flood> {
     SimulatorBuilder::new(n, seed)
         .latency(bench_latency())
@@ -239,45 +194,11 @@ pub fn build_sim_single_pop(n: usize, seed: u64, ttl: u32) -> Simulator<Flood> {
         .build(make_flood(n, ttl))
 }
 
-/// [`build_sim`] with the event queue replaced by the LIFO ablation stack
-/// (`SimulatorBuilder::lifo_queue_for_ablation`): O(1) unordered push/pop,
-/// zero ordering work. The run is not a valid simulation — events fire in
-/// stack order — but the [`Flood`] event population is order-invariant
-/// (lossless links, no timer cancels, TTL-driven chains, count-budgeted
-/// re-arms), so the processed-event count matches the real runs exactly
-/// (asserted by `bench-json` and the unit tests). Timing it prices the
-/// full non-queue pipeline per event; the gap to a real run is the
-/// queue's share of per-event cost — the same LIFO-substitution
-/// methodology as the PR 4 ablation in `BENCH_4.json`.
-pub fn build_sim_lifo(n: usize, seed: u64, ttl: u32) -> Simulator<Flood> {
-    SimulatorBuilder::new(n, seed)
-        .latency(bench_latency())
-        .loss(LossModel::none())
-        .lifo_queue_for_ablation()
-        .build(make_flood(n, ttl))
-}
-
-/// [`build_sim_lifo`] with a FIFO deque instead of a stack
-/// (`SimulatorBuilder::fifo_queue_for_ablation`). Push order tracks
-/// virtual time statistically, so the FIFO run walks the node population
-/// in the same breadth-first pattern as a real time-ordered run — it is
-/// the *locality-matched* non-queue baseline. The LIFO stack's
-/// depth-first chain walk keeps one chain's protocol state artificially
-/// hot, so its time bounds the non-queue cost from below and overstates
-/// the queue share. Reporting both brackets the true share.
-pub fn build_sim_fifo(n: usize, seed: u64, ttl: u32) -> Simulator<Flood> {
-    SimulatorBuilder::new(n, seed)
-        .latency(bench_latency())
-        .loss(LossModel::none())
-        .fifo_queue_for_ablation()
-        .build(make_flood(n, ttl))
-}
-
 /// Runs one measurement: builds the simulator (untimed), drains it to
 /// completion (timed) and returns `(events processed, seconds)`.
-pub fn measure(n: usize, seed: u64, target_events: u64, core: Core) -> (u64, f64) {
+pub fn measure(n: usize, seed: u64, target_events: u64) -> (u64, f64) {
     let ttl = ttl_for(n, target_events);
-    let mut sim = build_sim(n, seed, ttl, core);
+    let mut sim = build_sim(n, seed, ttl);
     let start = Instant::now();
     let processed = sim.run_to_completion().expect("contract holds");
     (processed, start.elapsed().as_secs_f64())
@@ -287,27 +208,6 @@ pub fn measure(n: usize, seed: u64, target_events: u64, core: Core) -> (u64, f64
 pub fn measure_single_pop(n: usize, seed: u64, target_events: u64) -> (u64, f64) {
     let ttl = ttl_for(n, target_events);
     let mut sim = build_sim_single_pop(n, seed, ttl);
-    let start = Instant::now();
-    let processed = sim.run_to_completion().expect("contract holds");
-    (processed, start.elapsed().as_secs_f64())
-}
-
-/// [`measure`] on the LIFO ablation stack (see [`build_sim_lifo`]): the
-/// non-queue pipeline cost at the real event count.
-pub fn measure_lifo(n: usize, seed: u64, target_events: u64) -> (u64, f64) {
-    let ttl = ttl_for(n, target_events);
-    let mut sim = build_sim_lifo(n, seed, ttl);
-    let start = Instant::now();
-    let processed = sim.run_to_completion().expect("contract holds");
-    (processed, start.elapsed().as_secs_f64())
-}
-
-/// [`measure`] on the FIFO ablation deque (see [`build_sim_fifo`]): the
-/// non-queue pipeline cost at the real event count with real-run access
-/// locality.
-pub fn measure_fifo(n: usize, seed: u64, target_events: u64) -> (u64, f64) {
-    let ttl = ttl_for(n, target_events);
-    let mut sim = build_sim_fifo(n, seed, ttl);
     let start = Instant::now();
     let processed = sim.run_to_completion().expect("contract holds");
     (processed, start.elapsed().as_secs_f64())
@@ -328,8 +228,8 @@ pub fn fingerprint(sim: &mut Simulator<Flood>) -> (u64, u64) {
 }
 
 /// [`build_sim`]'s sharded counterpart: the same workload on the PR 5
-/// sharded core with `shards` contiguous partitions. Bit-identical to every
-/// other core (the differential tests assert it; `bench-json` re-checks the
+/// sharded core with `shards` contiguous partitions. Bit-identical to the
+/// flat core (the differential tests assert it; `bench-json` re-checks the
 /// event counts per run).
 pub fn build_sim_sharded(n: usize, seed: u64, ttl: u32, shards: usize) -> Simulator<Flood> {
     SimulatorBuilder::new(n, seed)
@@ -433,19 +333,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn workload_is_core_independent() {
-        // The exact same events must be processed by all scheduling cores.
-        let (flat_events, _) = measure(60, 5, 50_000, Core::Flat);
-        let (pr3_events, _) = measure(60, 5, 50_000, Core::Pr3);
-        let (seed_events, _) = measure(60, 5, 50_000, Core::Seed);
-        assert_eq!(flat_events, pr3_events);
-        assert_eq!(flat_events, seed_events);
-        assert!(flat_events > 40_000);
-    }
-
-    #[test]
     fn sharded_workload_processes_the_identical_event_stream() {
-        let (flat_events, _) = measure(60, 5, 50_000, Core::Flat);
+        let (flat_events, _) = measure(60, 5, 50_000);
+        assert!(flat_events > 40_000);
         for shards in [1usize, 2, 4] {
             let (seq_events, _) = measure_sharded(60, 5, 50_000, shards, false);
             assert_eq!(flat_events, seq_events, "{shards}-shard sequential");
@@ -455,25 +345,9 @@ mod tests {
     }
 
     #[test]
-    fn lifo_ablation_processes_the_identical_event_count() {
-        // The Flood event population is order-invariant, so the unordered
-        // LIFO stack must pop exactly the events the real queue orders.
-        let (flat_events, _) = measure(60, 5, 50_000, Core::Flat);
-        let (lifo_events, _) = measure_lifo(60, 5, 50_000);
-        assert_eq!(flat_events, lifo_events);
-    }
-
-    #[test]
-    fn fifo_ablation_processes_the_identical_event_count() {
-        let (flat_events, _) = measure(60, 5, 50_000, Core::Flat);
-        let (fifo_events, _) = measure_fifo(60, 5, 50_000);
-        assert_eq!(flat_events, fifo_events);
-    }
-
-    #[test]
     fn dispatch_modes_share_one_fingerprint() {
         let ttl = ttl_for(60, 50_000);
-        let batched = fingerprint(&mut build_sim(60, 5, ttl, Core::Flat));
+        let batched = fingerprint(&mut build_sim(60, 5, ttl));
         let single = fingerprint(&mut build_sim_single_pop(60, 5, ttl));
         assert_eq!(batched, single);
     }

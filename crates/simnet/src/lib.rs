@@ -25,41 +25,43 @@
 //! [`sim::Context`] command buffer, and are completely unaware of whether they
 //! run above a simulated or a real transport.
 //!
-//! ## The scheduling core
+//! ## Two engines and one reference
 //!
-//! The inner event loop was rebuilt in PR 3 (calendar queue) and flattened
-//! in PR 4; protocols see no difference (same `Protocol`/`Context` seam,
-//! same event order, same results for a given seed), only the cost per
-//! event changed:
+//! The scheduling core was rebuilt in PR 3 (calendar queue), flattened in
+//! PR 4 and sharded in PR 5; protocols see no difference (same
+//! `Protocol`/`Context` seam, same event order, same results for a given
+//! seed), only the cost per event changed:
 //!
 //! * **Calendar queue** ([`event::EventQueue`]) — events within the next
 //!   ~0.5 s of virtual time live in [`event::NUM_BUCKETS`] buckets of
 //!   [`event::BUCKET_WIDTH_MICROS`] µs each (append-only until the cursor
 //!   reaches a bucket, which is when it is ordered, exactly once); events
-//!   beyond the horizon wait in an overflow min-heap and migrate wheel-ward
-//!   one epoch at a time. Pop order is ascending `(time, insertion seq)` —
-//!   bit-identical to the retained references.
-//! * **Eager command dispatch** (PR 4) — [`sim::Context::send`] runs the
+//!   beyond the horizon wait in an outer wheel or an overflow min-heap.
+//!   Pop order is ascending `(time, insertion seq)`.
+//! * **The flat engine** (the default) — [`sim::Context::send`] runs the
 //!   transmit path (upload queue, statistics, loss and latency draws, event
-//!   push) inline instead of buffering a command that is replayed after the
-//!   callback returns; per-node state lives in struct-of-arrays form so the
+//!   push) inline; per-node state lives in struct-of-arrays form so the
 //!   context can borrow the whole substrate while the protocol instance is
-//!   borrowed separately. Same-tick deliveries to one node are drained in a
-//!   single callback context, and queued events are slim: a delivery's wire
-//!   size is recomputed at the fire site and a timer's node and tag live in
-//!   its timer slot, not in the queue.
+//!   borrowed separately. Whole calendar buckets are dispatched at a time,
+//!   same-tick deliveries to one node are drained in a single callback
+//!   context, and queued events are slim: a delivery's wire size is
+//!   recomputed at the fire site and a timer's node and tag live in its
+//!   timer slot, not in the queue.
+//! * **The sharded engine** ([`sim::SimulatorBuilder::sharded`], [`shard`])
+//!   — per-region event loops that exchange cross-shard deliveries at
+//!   calendar-bucket boundaries, bit-identical to the flat engine.
 //! * **Generation-stamped timer slots** — [`sim::TimerId`] packs a slot
 //!   index and a generation; firing frees the slot, so cancellation — even of
 //!   a timer that already fired — is an O(1) stamp comparison and the
 //!   simulator's timer state is bounded by the number of *concurrently
 //!   pending* timers ([`sim::Simulator::timer_slots`]).
-//! * **Retained baselines** — the PR 3 core (calendar queue with a pooled
-//!   deferred command buffer and fat events,
-//!   [`sim::SimulatorBuilder::pr3_scheduling_core`], backed by
-//!   [`event::Pr3CalendarQueue`]) and the pre-PR-3 seed core
-//!   ([`sim::SimulatorBuilder::baseline_scheduling_core`], backed by
-//!   [`event::BinaryHeapQueue`]) are kept for differential tests and
-//!   same-binary benchmarking; all three cores are asserted bit-identical.
+//! * **The reference core** — test builds and the `reference` cargo
+//!   feature add one differential oracle, `SimulatorBuilder::reference_core`:
+//!   a `BinaryHeapQueue` popped one event at a time, one callback activation
+//!   per event and uncached loss and latency draws, next to the
+//!   `ReferenceNetStats` array-of-structs statistics oracle. Every engine
+//!   and dispatch mode is asserted bit-identical to it. Production builds
+//!   contain none of it.
 //!
 //! ## Example
 //!
@@ -111,14 +113,14 @@ pub mod stats;
 pub mod time;
 
 pub use bandwidth::{Bandwidth, UploadQueue};
-pub use event::{BinaryHeapQueue, EventQueue, Pr3CalendarQueue, ScheduledEvent};
+pub use event::{EventQueue, ScheduledEvent};
 pub use fault::FaultPlan;
 pub use latency::LatencyModel;
 pub use loss::LossModel;
 pub use node::NodeId;
 pub use shard::{ContractViolation, ShardPolicy, ViolationDetail};
 pub use sim::{Context, Protocol, Simulator, SimulatorBuilder, TimerId, WireSize};
-pub use stats::{MemoryFootprint, NetStats, NodeStats, ReferenceNetStats};
+pub use stats::{MemoryFootprint, NetStats, NodeStats};
 pub use time::{SimDuration, SimTime};
 
 /// Convenience re-exports for downstream crates and examples.

@@ -5,10 +5,10 @@
 //! directly by [`NodeId::index`]. The per-event recording methods are plain
 //! indexed adds — no capacity check, no lazy growth — because the simulator
 //! sizes the arrays once, at construction, for the (fixed and dense) node
-//! population. The previous Vec-of-structs layout is retained as
-//! [`ReferenceNetStats`], the differential oracle that the regression tests
-//! drive with randomized operation streams to pin the two layouts to
-//! identical semantics.
+//! population. Test builds and the `reference` cargo feature keep the
+//! previous Vec-of-structs layout as `ReferenceNetStats`, the differential
+//! oracle that the regression tests drive with randomized operation streams
+//! to pin the two layouts to identical semantics.
 
 use crate::node::NodeId;
 use crate::time::SimDuration;
@@ -19,7 +19,7 @@ use std::fmt;
 ///
 /// [`NetStats`] stores these fields column-wise; this struct is the row view
 /// assembled on demand by [`NetStats::node`] and [`NetStats::iter`] (it is
-/// also the storage type of the retained [`ReferenceNetStats`] oracle).
+/// also the storage type of the `ReferenceNetStats` oracle).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct NodeStats {
     /// Messages this node handed to its upload queue.
@@ -382,6 +382,7 @@ impl fmt::Debug for NetStats {
 /// tests (`crates/simnet/tests/stats_differential.rs`) replay randomized
 /// operation streams into both accumulators and require every counter to
 /// agree, which pins the struct-of-arrays layout to the original semantics.
+#[cfg(any(test, feature = "reference"))]
 #[derive(Debug, Clone, Default)]
 pub struct ReferenceNetStats {
     per_node: Vec<NodeStats>,
@@ -389,6 +390,7 @@ pub struct ReferenceNetStats {
     pub total_queueing_delay: SimDuration,
 }
 
+#[cfg(any(test, feature = "reference"))]
 impl ReferenceNetStats {
     /// Creates statistics for `n` nodes.
     pub fn new(n: usize) -> Self {

@@ -1,12 +1,11 @@
 //! Differential property test of the calendar-queue schedulers.
 //!
-//! Drives [`EventQueue`] (the live PR 4 calendar queue, scan-built sort
-//! keys) and [`Pr3CalendarQueue`] (the PR 3 snapshot, push-time keys)
-//! against [`BinaryHeapQueue`] (the pre-PR-3 reference) with the same
-//! randomly generated operation sequences and asserts they agree on every
-//! observable: pop order (time, sequence number *and* payload), `peek_time`,
-//! `peek`, deadline-bounded pops ([`EventQueue::pop_at_or_before`]) and
-//! `len` after every step.
+//! Drives [`EventQueue`] (the calendar queue of both engines) against
+//! [`BinaryHeapQueue`] (the reference) with the same randomly generated
+//! operation sequences and asserts they agree on every observable: pop
+//! order (time, sequence number *and* payload), `peek_time`, `peek`,
+//! deadline-bounded pops ([`EventQueue::pop_at_or_before`]) and `len` after
+//! every step.
 //!
 //! The time distribution is deliberately adversarial for the calendar
 //! layout: dense ties on one instant, sub-bucket jitter, spreads across
@@ -15,7 +14,7 @@
 //! with pushes, "push earlier than the current cursor bucket" (the
 //! cursor-rewind and past-heap paths) occurs naturally as well.
 
-use heap_simnet::event::{BinaryHeapQueue, EventQueue, Pr3CalendarQueue};
+use heap_simnet::event::{BinaryHeapQueue, EventQueue};
 use heap_simnet::time::SimTime;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -42,7 +41,6 @@ fn arbitrary_micros(rng: &mut SmallRng) -> u64 {
 fn drive(seed: u64, ops: usize) {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut calendar: EventQueue<u64> = EventQueue::new();
-    let mut pr3: Pr3CalendarQueue<u64> = Pr3CalendarQueue::new();
     let mut reference: BinaryHeapQueue<u64> = BinaryHeapQueue::new();
     let mut payload = 0u64;
     for step in 0..ops {
@@ -52,7 +50,6 @@ fn drive(seed: u64, ops: usize) {
         let r = rng.gen_range(0u32..10);
         if r < 2 {
             let a = calendar.pop();
-            let c = pr3.pop();
             let b = reference.pop();
             match (&a, &b) {
                 (Some(x), Some(y)) => {
@@ -64,17 +61,6 @@ fn drive(seed: u64, ops: usize) {
                 }
                 (None, None) => {}
                 other => panic!("one queue empty, the other not, at step {step}: {other:?}"),
-            }
-            match (&c, &b) {
-                (Some(z), Some(y)) => {
-                    assert_eq!(
-                        (z.time, z.seq, z.payload),
-                        (y.time, y.seq, y.payload),
-                        "pr3 queue diverged at step {step}"
-                    );
-                }
-                (None, None) => {}
-                other => panic!("pr3 queue emptiness diverged at step {step}: {other:?}"),
             }
         } else if r < 4 {
             // Deadline-bounded pop: sometimes before the front, sometimes
@@ -91,34 +77,21 @@ fn drive(seed: u64, ops: usize) {
             } else {
                 None
             };
-            // The PR 3 snapshot predates pop_at_or_before; emulate it the
-            // way the PR 3 run loop did (peek_time, then pop).
-            let from_pr3 = if pr3.peek_time().is_some_and(|t| t <= deadline) {
-                pr3.pop()
-            } else {
-                None
-            };
             let got = calendar.pop_at_or_before(deadline);
-            match (&got, &expected, &from_pr3) {
-                (Some(x), Some(y), Some(z)) => {
+            match (&got, &expected) {
+                (Some(x), Some(y)) => {
                     assert_eq!(
                         (x.time, x.seq, x.payload),
                         (y.time, y.seq, y.payload),
                         "bounded pop diverged at step {step}"
                     );
-                    assert_eq!(
-                        (z.time, z.seq, z.payload),
-                        (y.time, y.seq, y.payload),
-                        "pr3 bounded pop diverged at step {step}"
-                    );
                 }
-                (None, None, None) => {}
+                (None, None) => {}
                 other => panic!("bounded pops disagree at step {step}: {other:?}"),
             }
         } else {
             let micros = arbitrary_micros(&mut rng);
             calendar.push(SimTime::from_micros(micros), payload);
-            pr3.push(SimTime::from_micros(micros), payload);
             reference.push(SimTime::from_micros(micros), payload);
             payload += 1;
         }
@@ -128,19 +101,9 @@ fn drive(seed: u64, ops: usize) {
             "len diverged at step {step}"
         );
         assert_eq!(
-            pr3.len(),
-            reference.len(),
-            "pr3 len diverged at step {step}"
-        );
-        assert_eq!(
             calendar.peek_time(),
             reference.peek_time(),
             "peek diverged at step {step}"
-        );
-        assert_eq!(
-            pr3.peek_time(),
-            reference.peek_time(),
-            "pr3 peek diverged at step {step}"
         );
         // peek() must surface the exact event pop would yield next.
         match (calendar.peek(), reference.peek()) {
@@ -158,12 +121,11 @@ fn drive(seed: u64, ops: usize) {
     }
     // Drain completely: the tail order must match too.
     loop {
-        match (calendar.pop(), reference.pop(), pr3.pop()) {
-            (Some(x), Some(y), Some(z)) => {
+        match (calendar.pop(), reference.pop()) {
+            (Some(x), Some(y)) => {
                 assert_eq!((x.time, x.seq, x.payload), (y.time, y.seq, y.payload));
-                assert_eq!((z.time, z.seq, z.payload), (y.time, y.seq, y.payload));
             }
-            (None, None, None) => break,
+            (None, None) => break,
             other => panic!("queues diverged while draining: {other:?}"),
         }
     }
@@ -284,10 +246,10 @@ fn drive_batched(seed: u64, ops: usize) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Both calendar generations pop the exact sequence the reference heap
-    /// pops, under plain and deadline-bounded pops.
+    /// The calendar queue pops the exact sequence the reference heap pops,
+    /// under plain and deadline-bounded pops.
     #[test]
-    fn calendar_queues_match_binary_heap_reference(seed in 0u64..1_000_000) {
+    fn calendar_queue_matches_binary_heap_reference(seed in 0u64..1_000_000) {
         drive(seed, 3_000);
     }
 

@@ -1,6 +1,7 @@
-//! Integration tests of the rebuilt scheduling core: timer-slot memory
-//! bounds, stale-cancellation semantics, baseline-core equivalence and a
-//! pinned 1000-node determinism fingerprint.
+//! Integration tests of the scheduling core: timer-slot memory bounds,
+//! stale-cancellation semantics, equivalence of both engines and both
+//! dispatch modes with the reference core, and a pinned 1000-node
+//! determinism fingerprint.
 
 use heap_simnet::prelude::*;
 use rand::Rng;
@@ -61,8 +62,9 @@ impl Protocol for Flood {
     }
 }
 
-/// Which scheduling core to build: 0 = flat (default), 1 = PR 3, 2 = seed,
-/// 3 = sharded (PR 5; two shards, round-robin partition).
+/// Which core to build: 0 = flat with batched dispatch (default), 1 = flat
+/// with single-pop dispatch, 2 = the reference core, 3 = sharded (two
+/// shards, round-robin partition).
 fn flood_sim(n: usize, seed: u64, ttl: u32, rounds: u32, core: u8) -> Simulator<Flood> {
     let mut builder = SimulatorBuilder::new(n, seed)
         .latency(LatencyModel::uniform(
@@ -71,8 +73,8 @@ fn flood_sim(n: usize, seed: u64, ttl: u32, rounds: u32, core: u8) -> Simulator<
         ))
         .loss(LossModel::bernoulli(0.02));
     builder = match core {
-        1 => builder.pr3_scheduling_core(),
-        2 => builder.baseline_scheduling_core(),
+        1 => builder.single_pop_dispatch(),
+        2 => builder.reference_core(),
         3 => builder.sharded(2).shard_policy(ShardPolicy::RoundRobin),
         _ => builder,
     };
@@ -96,16 +98,16 @@ fn run_fingerprint(sim: &mut Simulator<Flood>) -> (u64, u64) {
 }
 
 // ---------------------------------------------------------------------------
-// Baseline-core equivalence
+// Engine equivalence
 // ---------------------------------------------------------------------------
 
-/// All four scheduling-core generations — the PR 5 sharded core (per-region
-/// event loops with bucket-boundary exchange), the PR 4 flat core (eager
-/// dispatch, batched deliveries, slim events), the PR 3 core (calendar
-/// queue with a pooled deferred command buffer, fat events) and the
-/// pre-PR-3 seed core (BinaryHeap, per-callback allocation) — must produce
-/// bit-identical simulations: same event count, same stats, same per-node
-/// state, same final clock — with crashes mixed in.
+/// Both engines in every dispatch mode — the flat engine with batched
+/// bucket-drain dispatch and with single-pop dispatch, and the sharded
+/// engine (per-region event loops with bucket-boundary exchange) — must be
+/// bit-identical to the reference core (binary heap, one callback
+/// activation per event, uncached loss and latency draws): same event
+/// count, same stats, same per-node state, same final clock — with crashes
+/// mixed in.
 #[test]
 fn all_scheduling_cores_are_bit_identical() {
     let run = |core: u8| {
@@ -114,10 +116,14 @@ fn all_scheduling_cores_are_bit_identical() {
         sim.schedule_crash(NodeId::new(31), SimTime::from_secs(1));
         run_fingerprint(&mut sim)
     };
-    let flat = run(0);
-    assert_eq!(flat, run(1), "flat vs pr3 core diverged");
-    assert_eq!(flat, run(2), "flat vs seed core diverged");
-    assert_eq!(flat, run(3), "flat vs sharded core diverged");
+    let reference = run(2);
+    assert_eq!(run(0), reference, "batched flat core vs reference diverged");
+    assert_eq!(
+        run(1),
+        reference,
+        "single-pop flat core vs reference diverged"
+    );
+    assert_eq!(run(3), reference, "sharded core vs reference diverged");
 }
 
 /// The sharded core must be bit-identical to the flat core for every shard

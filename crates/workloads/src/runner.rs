@@ -565,10 +565,9 @@ pub fn run_scenario(scenario: &Scenario) -> ExperimentResult {
 /// The `HEAP_RUNNER` environment variable overrides the strategy: `inline`
 /// forces the sequential loop, `steal` forces the work-stealing pool
 /// ([`run_scenarios_stealing`], with at least two workers so the stealing
-/// path is exercised even on one core — the CI smoke configuration),
-/// `threads` forces the legacy thread-per-scenario fan-out, and anything
-/// else (or unset) picks adaptively: inline on one core, work-stealing
-/// otherwise.
+/// path is exercised even on one core — the CI smoke configuration), and
+/// anything else (or unset) picks adaptively: inline on one core,
+/// work-stealing otherwise.
 pub fn run_scenarios_parallel(scenarios: &[Scenario]) -> Vec<ExperimentResult> {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -576,7 +575,6 @@ pub fn run_scenarios_parallel(scenarios: &[Scenario]) -> Vec<ExperimentResult> {
     match std::env::var("HEAP_RUNNER").as_deref() {
         Ok("inline") => scenarios.iter().map(run_scenario).collect(),
         Ok("steal") => run_scenarios_stealing(scenarios, cores.max(2)),
-        Ok("threads") => run_scenarios_threaded(scenarios),
         _ => {
             if cores <= 1 || scenarios.len() <= 1 {
                 scenarios.iter().map(run_scenario).collect()
@@ -657,24 +655,6 @@ pub fn run_scenarios_stealing(scenarios: &[Scenario], workers: usize) -> Vec<Exp
             .map(|r| r.expect("every scenario was claimed exactly once"))
             .collect()
     })
-}
-
-/// The legacy thread-per-scenario fan-out: one scoped thread per scenario
-/// regardless of the host's core count. Retained as the differential
-/// reference for [`run_scenarios_stealing`] in the bit-identity tests (and
-/// `bench-json`'s sweep check) so a threaded path is exercised even on
-/// single-core CI hosts; prefer [`run_scenarios_parallel`] everywhere else.
-pub fn run_scenarios_threaded(scenarios: &[Scenario]) -> Vec<ExperimentResult> {
-    let mut results: Vec<Option<ExperimentResult>> = scenarios.iter().map(|_| None).collect();
-    std::thread::scope(|scope| {
-        for (scenario, slot) in scenarios.iter().zip(results.iter_mut()) {
-            scope.spawn(move || *slot = Some(run_scenario(scenario)));
-        }
-    });
-    results
-        .into_iter()
-        .map(|r| r.expect("scenario thread completed"))
-        .collect()
 }
 
 #[cfg(test)]
@@ -906,50 +886,11 @@ mod tests {
     }
 
     #[test]
-    fn parallel_runner_is_bit_identical_to_sequential() {
-        // A mixed batch: different distributions, protocols, churn and
-        // membership modes, all in one parallel sweep.
-        let scenarios = vec![
-            quick_scenario(
-                BandwidthDistribution::unconstrained(),
-                ProtocolChoice::Standard { fanout: 6.0 },
-                ChurnSpec::None,
-            ),
-            quick_scenario(
-                BandwidthDistribution::ms_691(),
-                ProtocolChoice::Heap { fanout: 6.0 },
-                ChurnSpec::Catastrophic {
-                    fraction: 0.2,
-                    at_secs: 4,
-                    detection_secs: 5,
-                },
-            ),
-            quick_scenario(
-                BandwidthDistribution::ref_691(),
-                ProtocolChoice::Heap { fanout: 6.0 },
-                ChurnSpec::None,
-            )
-            .with_membership(MembershipChoice::cyclon()),
-        ];
-        // Exercise the genuinely threaded path even on single-core CI.
-        let parallel = run_scenarios_threaded(&scenarios);
-        let sequential: Vec<ExperimentResult> = scenarios.iter().map(run_scenario).collect();
-        assert_eq!(parallel.len(), sequential.len());
-        for (p, s) in parallel.iter().zip(&sequential) {
-            assert_eq!(p.scenario_name, s.scenario_name);
-            assert_eq!(
-                p.fingerprint(),
-                s.fingerprint(),
-                "{} diverged",
-                p.scenario_name
-            );
-        }
-    }
-
-    #[test]
     fn stealing_runner_is_bit_identical_to_sequential() {
-        // Worker counts below, at and above the batch size, so both the
-        // striping and the stealing paths run even on single-core CI.
+        // A mixed batch: different distributions, protocols, churn and
+        // membership modes. Worker counts below, at and above the batch
+        // size, so both the striping and the stealing paths — real threads —
+        // run even on single-core CI.
         let scenarios = vec![
             quick_scenario(
                 BandwidthDistribution::unconstrained(),
